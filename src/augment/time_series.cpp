@@ -43,6 +43,13 @@ flow::Flow TimeShift::transform_flow(const flow::Flow& input, util::Rng& rng) co
     // the rasterizer skips negative times, but dropping them here keeps the
     // series a valid monotone trace for any downstream consumer.
     std::erase_if(output.packets, [](const flow::Packet& p) { return p.timestamp < 0.0; });
+    // A flow lying wholly inside the first |shift| s would come out empty
+    // (an all-zero flowpic); keep its last packet at the window start, as
+    // PacketLoss keeps one packet.
+    if (output.packets.empty() && !input.packets.empty()) {
+        output.packets.push_back(input.packets.back());
+        output.packets.back().timestamp = 0.0;
+    }
     return output;
 }
 

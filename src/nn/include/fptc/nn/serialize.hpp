@@ -17,7 +17,8 @@
 // fault injector's truncated-write faults.
 //
 // Loading is validated on two axes: *structural* (magic, version, shapes,
-// length, CRC — catches truncation and bit rot) and *semantic* (every
+// length, CRC, nothing after the record — catches truncation, bit rot and
+// appended bytes; the byte layer is util/bytes.hpp) and *semantic* (every
 // weight finite and within kMaxAbsWeight, temperature sane — catches
 // garbage a buggy writer checksummed and fsync'd correctly).  Semantic
 // defects throw the typed CheckpointError, which callers must treat as
@@ -68,7 +69,7 @@ void load_parameters(const std::vector<Parameter*>& parameters, std::istream& in
                      Calibration* calibration = nullptr);
 
 /// Validate a checkpoint stream structurally (magic, version, shape table,
-/// payload length, checksum) AND semantically (finite, in-range weights and
+/// payload length, checksum, exact end) AND semantically (finite, in-range weights and
 /// calibration) without loading it into a network.  Returns false and fills
 /// `error` (when non-null) on any defect.  The canary gate runs this as its
 /// first check on a reload candidate.

@@ -1,12 +1,11 @@
 #include "fptc/nn/serialize.hpp"
 
-#include "fptc/util/crc32.hpp"
+#include "fptc/util/bytes.hpp"
 #include "fptc/util/fault.hpp"
 #include "fptc/util/journal.hpp"
 #include "fptc/util/log.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -14,6 +13,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace fptc::nn {
 
@@ -21,57 +21,9 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x46505443; // "FPTC"
 
-// CRC32 comes from the shared util/crc32.hpp (one table for every
-// checksummed on-disk format: checkpoints here, serve snapshots).
-using util::crc32_update;
-
-// ---- checksummed stream helpers --------------------------------------------
-
-/// Writes raw bytes while accumulating the payload CRC (v2).
-struct CrcWriter {
-    std::ostream& out;
-    std::uint32_t crc = 0;
-    bool checksummed = false;
-
-    void write(const char* data, std::size_t size)
-    {
-        out.write(data, static_cast<std::streamsize>(size));
-        if (checksummed) {
-            crc = crc32_update(crc, data, size);
-        }
-    }
-
-    void write_u64(std::uint64_t value)
-    {
-        write(reinterpret_cast<const char*>(&value), sizeof value);
-    }
-};
-
-/// Reads raw bytes while accumulating the payload CRC (v2); error messages
-/// carry `context` so callers learn *which* parameter was truncated.
-struct CrcReader {
-    std::istream& in;
-    std::uint32_t crc = 0;
-    bool checksummed = false;
-
-    void read(char* data, std::size_t size, const std::string& context)
-    {
-        in.read(data, static_cast<std::streamsize>(size));
-        if (!in) {
-            throw std::runtime_error("load_parameters: truncated stream while reading " + context);
-        }
-        if (checksummed) {
-            crc = crc32_update(crc, data, size);
-        }
-    }
-
-    [[nodiscard]] std::uint64_t read_u64(const std::string& context)
-    {
-        std::uint64_t value = 0;
-        read(reinterpret_cast<char*>(&value), sizeof value, context);
-        return value;
-    }
-};
+/// The packed u64 magic|version header; the v2+ CRC trailer covers every
+/// byte after it.
+constexpr std::size_t kHeaderBytes = sizeof(std::uint64_t);
 
 [[nodiscard]] std::string shape_to_string(const Shape& shape)
 {
@@ -85,10 +37,11 @@ struct CrcReader {
     return out + "]";
 }
 
-/// Sanity cap on a single tensor's element count (guards dimension products
-/// read from corrupt files before they turn into huge allocations).
+/// Sanity caps on counts read from a file (guard dimension products and
+/// table sizes from corrupt files before they turn into huge allocations).
 constexpr std::uint64_t kMaxElements = 1ULL << 33;
 constexpr std::uint64_t kMaxRank = 16;
+constexpr std::uint64_t kMaxParameters = 1ULL << 20;
 
 /// Semantic weight check: nullptr when `w` is a plausible model weight,
 /// otherwise a short defect name for the error message.
@@ -118,24 +71,123 @@ constexpr std::uint64_t kMaxRank = 16;
     return nullptr;
 }
 
-/// Parse version from the 8-byte header; throws on bad magic or version.
-[[nodiscard]] std::uint32_t read_header(std::istream& in, const char* who)
+/// A structurally valid checkpoint: each tensor as stored, plus the
+/// calibration temperature (1 for v1/v2 records).
+struct StoredTensor {
+    Shape shape;
+    std::vector<float> values;
+};
+
+struct Record {
+    std::vector<StoredTensor> tensors;
+    double temperature = 1.0;
+};
+
+[[nodiscard]] std::string read_all(std::istream& in)
 {
-    std::uint64_t header = 0;
-    in.read(reinterpret_cast<char*>(&header), sizeof header);
-    if (!in) {
-        throw std::runtime_error(std::string(who) + ": truncated stream while reading header");
-    }
+    std::ostringstream buffer(std::ios::binary);
+    buffer << in.rdbuf();
+    return std::move(buffer).str();
+}
+
+/// The one checkpoint parser behind load_parameters and verify_checkpoint:
+/// magic, version, shape table, tensor data, calibration (v3), the CRC
+/// trailer (v2+) and an exact end — the record must stop at the trailer
+/// (v1: at the last tensor).  Structural defects throw std::runtime_error
+/// prefixed with `who`; content is not judged here.
+[[nodiscard]] Record decode(std::string_view bytes, const std::string& who)
+{
+    util::ByteReader in(bytes);
+    const auto require = [&](const std::string& context) {
+        if (!in.ok()) {
+            throw std::runtime_error(who + ": truncated stream while reading " + context);
+        }
+    };
+    const auto header = in.get<std::uint64_t>();
+    require("header");
     if ((header >> 32) != kMagic) {
-        throw std::runtime_error(std::string(who) + ": bad magic (not an FPTC checkpoint)");
+        throw std::runtime_error(who + ": bad magic (not an FPTC checkpoint)");
     }
     const auto version = static_cast<std::uint32_t>(header & 0xffffffffULL);
     if (version < 1 || version > kSerializeVersion) {
-        throw std::runtime_error(std::string(who) + ": unsupported format version " +
+        throw std::runtime_error(who + ": unsupported format version " +
                                  std::to_string(version) + " (supported: 1.." +
                                  std::to_string(kSerializeVersion) + ")");
     }
-    return version;
+
+    const auto count = in.get<std::uint64_t>();
+    require("parameter count");
+    if (count > kMaxParameters) {
+        throw std::runtime_error(who + ": implausible parameter count " + std::to_string(count));
+    }
+    Record record;
+    for (std::uint64_t index = 0; index < count; ++index) {
+        const std::string context = "parameter " + std::to_string(index);
+        const auto rank = in.get<std::uint64_t>();
+        require(context + " rank");
+        if (rank > kMaxRank) {
+            throw std::runtime_error(who + ": " + context + ": implausible rank " +
+                                     std::to_string(rank) + " (corrupt stream?)");
+        }
+        StoredTensor tensor;
+        tensor.shape.resize(static_cast<std::size_t>(rank));
+        std::uint64_t elements = 1;
+        for (auto& d : tensor.shape) {
+            const auto dim = in.get<std::uint64_t>();
+            require(context + " shape");
+            if (dim == 0 || elements > kMaxElements / dim) {
+                throw std::runtime_error(who + ": " + context + ": implausible shape");
+            }
+            elements *= dim;
+            d = static_cast<std::size_t>(dim);
+        }
+        // Allocate no more than the file still holds: when it is short, the
+        // read below fails without copying anything.
+        tensor.values.resize(static_cast<std::size_t>(
+            std::min<std::uint64_t>(elements, in.remaining() / sizeof(float))));
+        in.get_bytes(tensor.values.data(), elements * sizeof(float));
+        require(context + " data");
+        record.tensors.push_back(std::move(tensor));
+    }
+    if (version >= 3) {
+        in.get(record.temperature);
+        require("calibration temperature");
+    }
+    if (version >= 2) {
+        const bool intact = in.check_crc32<std::uint64_t>(kHeaderBytes);
+        require("checksum");
+        if (!intact) {
+            throw std::runtime_error(who +
+                                     ": checksum mismatch — checkpoint corrupt or truncated");
+        }
+    }
+    if (!in.at_end()) {
+        throw std::runtime_error(who + ": " + std::to_string(in.remaining()) +
+                                 " trailing bytes after the checkpoint record");
+    }
+    return record;
+}
+
+/// Semantic validation, after the structural checks: the CRC proves the
+/// bytes are the writer's bytes, this proves the writer's bytes are a
+/// model.  Throws the typed CheckpointError so callers know a retry cannot
+/// help — the file's content is garbage.
+void check_semantics(const Record& record, const std::string& who)
+{
+    for (std::size_t index = 0; index < record.tensors.size(); ++index) {
+        for (const float w : record.tensors[index].values) {
+            if (const char* defect = weight_defect(w); defect != nullptr) {
+                throw CheckpointError(who + ": parameter " + std::to_string(index) +
+                                      " contains a " + defect + " weight (" +
+                                      std::to_string(w) + ") — checkpoint semantically invalid");
+            }
+        }
+    }
+    if (const char* defect = temperature_defect(record.temperature); defect != nullptr) {
+        throw CheckpointError(who + ": " + defect + " calibration temperature (" +
+                              std::to_string(record.temperature) +
+                              ") — checkpoint semantically invalid");
+    }
 }
 
 } // namespace
@@ -147,27 +199,24 @@ void save_parameters(const std::vector<Parameter*>& parameters, std::ostream& ou
         throw std::runtime_error("save_parameters: unsupported format version " +
                                  std::to_string(version));
     }
-    std::uint64_t header = (static_cast<std::uint64_t>(kMagic) << 32) | version;
-    out.write(reinterpret_cast<const char*>(&header), sizeof header);
-
-    CrcWriter writer{out, 0, version >= 2};
-    writer.write_u64(parameters.size());
+    util::ByteWriter record;
+    record.put((static_cast<std::uint64_t>(kMagic) << 32) | version);
+    record.put<std::uint64_t>(parameters.size());
     for (const auto* p : parameters) {
-        writer.write_u64(p->value.shape().size());
+        record.put<std::uint64_t>(p->value.shape().size());
         for (const auto d : p->value.shape()) {
-            writer.write_u64(d);
+            record.put<std::uint64_t>(d);
         }
         const auto data = p->value.data();
-        writer.write(reinterpret_cast<const char*>(data.data()), data.size() * sizeof(float));
+        record.put_bytes(data.data(), data.size() * sizeof(float));
     }
     if (version >= 3) {
-        writer.write(reinterpret_cast<const char*>(&calibration.temperature),
-                     sizeof calibration.temperature);
+        record.put(calibration.temperature);
     }
     if (version >= 2) {
-        const std::uint64_t crc = writer.crc;
-        out.write(reinterpret_cast<const char*>(&crc), sizeof crc);
+        record.put_crc32<std::uint64_t>(kHeaderBytes);
     }
+    out.write(record.bytes().data(), static_cast<std::streamsize>(record.size()));
     if (!out) {
         throw std::runtime_error("save_parameters: stream failure");
     }
@@ -176,157 +225,43 @@ void save_parameters(const std::vector<Parameter*>& parameters, std::ostream& ou
 void load_parameters(const std::vector<Parameter*>& parameters, std::istream& in,
                      Calibration* calibration)
 {
-    const std::uint32_t version = read_header(in, "load_parameters");
-    CrcReader reader{in, 0, version >= 2};
-
-    const std::uint64_t count = reader.read_u64("parameter count");
-    if (count != parameters.size()) {
-        throw std::runtime_error("load_parameters: parameter count mismatch (stream has " +
-                                 std::to_string(count) + ", network has " +
+    // Decode and validate the whole record before touching the network, so
+    // a corrupt stream never leaves it half-overwritten.
+    const std::string who = "load_parameters";
+    const Record record = decode(read_all(in), who);
+    if (record.tensors.size() != parameters.size()) {
+        throw std::runtime_error(who + ": parameter count mismatch (stream has " +
+                                 std::to_string(record.tensors.size()) + ", network has " +
                                  std::to_string(parameters.size()) + ")");
     }
-    // Stage tensor data first and commit only after full validation, so a
-    // corrupt stream (bad shape, truncation, checksum mismatch) never leaves
-    // the target network half-overwritten.
-    std::vector<std::vector<float>> staged(parameters.size());
     for (std::size_t index = 0; index < parameters.size(); ++index) {
-        auto* p = parameters[index];
-        const std::string context = "parameter " + std::to_string(index) +
-                                    (p->name.empty() ? "" : " ('" + p->name + "')");
-        const std::uint64_t rank = reader.read_u64(context + " rank");
-        if (rank > kMaxRank) {
-            throw std::runtime_error("load_parameters: " + context + ": implausible rank " +
-                                     std::to_string(rank) + " (corrupt stream?)");
-        }
-        Shape shape(rank);
-        for (auto& d : shape) {
-            d = reader.read_u64(context + " shape");
-        }
-        if (shape != p->value.shape()) {
-            throw std::runtime_error("load_parameters: " + context + ": shape mismatch (stream " +
-                                     shape_to_string(shape) + ", network " +
-                                     shape_to_string(p->value.shape()) + ")");
-        }
-        staged[index].resize(p->value.size());
-        reader.read(reinterpret_cast<char*>(staged[index].data()),
-                    staged[index].size() * sizeof(float), context + " data");
-    }
-    Calibration loaded;
-    if (version >= 3) {
-        reader.read(reinterpret_cast<char*>(&loaded.temperature), sizeof loaded.temperature,
-                    "calibration temperature");
-    }
-    if (version >= 2) {
-        const std::uint32_t computed = reader.crc;
-        std::uint64_t stored = 0;
-        in.read(reinterpret_cast<char*>(&stored), sizeof stored);
-        if (!in) {
-            throw std::runtime_error("load_parameters: truncated stream while reading checksum");
-        }
-        if (stored != computed) {
+        const auto* p = parameters[index];
+        if (record.tensors[index].shape != p->value.shape()) {
             throw std::runtime_error(
-                "load_parameters: checksum mismatch (stored " + std::to_string(stored) +
-                ", computed " + std::to_string(computed) + ") — checkpoint corrupt or truncated");
+                who + ": parameter " + std::to_string(index) +
+                (p->name.empty() ? "" : " ('" + p->name + "')") + ": shape mismatch (stream " +
+                shape_to_string(record.tensors[index].shape) + ", network " +
+                shape_to_string(p->value.shape()) + ")");
         }
     }
-    // Semantic validation, after the structural checks: the CRC proves the
-    // bytes are the writer's bytes, this proves the writer's bytes are a
-    // model.  Fails *typed* (CheckpointError) so callers know a retry
-    // cannot help — the file's content is garbage.
+    check_semantics(record, who);
     for (std::size_t index = 0; index < parameters.size(); ++index) {
-        for (const float w : staged[index]) {
-            if (const char* defect = weight_defect(w); defect != nullptr) {
-                throw CheckpointError("load_parameters: parameter " + std::to_string(index) +
-                                      " contains a " + defect + " weight (" +
-                                      std::to_string(w) + ") — checkpoint semantically invalid");
-            }
-        }
-    }
-    if (const char* defect = temperature_defect(loaded.temperature); defect != nullptr) {
-        throw CheckpointError("load_parameters: " + std::string(defect) +
-                              " calibration temperature (" +
-                              std::to_string(loaded.temperature) +
-                              ") — checkpoint semantically invalid");
-    }
-    for (std::size_t index = 0; index < parameters.size(); ++index) {
-        auto data = parameters[index]->value.data();
-        std::copy(staged[index].begin(), staged[index].end(), data.begin());
+        const auto& values = record.tensors[index].values;
+        std::copy(values.begin(), values.end(), parameters[index]->value.data().begin());
     }
     if (calibration != nullptr) {
-        *calibration = loaded;
+        *calibration = Calibration{.temperature = record.temperature};
     }
 }
 
 bool verify_checkpoint(std::istream& in, std::string* error)
 {
     try {
-        const std::uint32_t version = read_header(in, "verify_checkpoint");
-        CrcReader reader{in, 0, version >= 2};
-        const std::uint64_t count = reader.read_u64("parameter count");
-        constexpr std::uint64_t kMaxParameters = 1ULL << 20;
-        if (count > kMaxParameters) {
-            throw std::runtime_error("verify_checkpoint: implausible parameter count " +
-                                     std::to_string(count));
-        }
-        // Semantic defects are recorded but reported only after the CRC
-        // verifies: a corrupt byte stream should fail as "checksum
-        // mismatch", not as whatever garbage float it happened to decode to.
-        std::string semantic_defect;
-        std::array<float, 1024> buffer;
-        for (std::uint64_t index = 0; index < count; ++index) {
-            const std::string context = "parameter " + std::to_string(index);
-            const std::uint64_t rank = reader.read_u64(context + " rank");
-            if (rank > kMaxRank) {
-                throw std::runtime_error("verify_checkpoint: " + context + ": implausible rank " +
-                                         std::to_string(rank));
-            }
-            std::uint64_t elements = 1;
-            for (std::uint64_t d = 0; d < rank; ++d) {
-                const std::uint64_t dim = reader.read_u64(context + " shape");
-                if (dim == 0 || elements > kMaxElements / std::max<std::uint64_t>(dim, 1)) {
-                    throw std::runtime_error("verify_checkpoint: " + context +
-                                             ": implausible shape");
-                }
-                elements *= dim;
-            }
-            std::uint64_t remaining = elements;
-            while (remaining > 0) {
-                const std::size_t chunk =
-                    static_cast<std::size_t>(std::min<std::uint64_t>(remaining, buffer.size()));
-                reader.read(reinterpret_cast<char*>(buffer.data()), chunk * sizeof(float),
-                            context + " data");
-                for (std::size_t i = 0; i < chunk && semantic_defect.empty(); ++i) {
-                    if (const char* defect = weight_defect(buffer[i]); defect != nullptr) {
-                        semantic_defect = "verify_checkpoint: " + context + " contains a " +
-                                          defect + " weight";
-                    }
-                }
-                remaining -= chunk;
-            }
-        }
-        if (version >= 3) {
-            double temperature = 1.0;
-            reader.read(reinterpret_cast<char*>(&temperature), sizeof temperature,
-                        "calibration temperature");
-            if (const char* defect = temperature_defect(temperature);
-                defect != nullptr && semantic_defect.empty()) {
-                semantic_defect = std::string("verify_checkpoint: ") + defect +
-                                  " calibration temperature";
-            }
-        }
-        if (version >= 2) {
-            std::uint64_t stored = 0;
-            in.read(reinterpret_cast<char*>(&stored), sizeof stored);
-            if (!in) {
-                throw std::runtime_error("verify_checkpoint: truncated checksum");
-            }
-            if (stored != reader.crc) {
-                throw std::runtime_error("verify_checkpoint: checksum mismatch");
-            }
-        }
-        if (!semantic_defect.empty()) {
-            throw CheckpointError(semantic_defect);
-        }
+        // decode() verifies the CRC before check_semantics() runs: a corrupt
+        // byte stream fails as "checksum mismatch", not as whatever garbage
+        // float it happened to decode to.
+        const std::string who = "verify_checkpoint";
+        check_semantics(decode(read_all(in), who), who);
     } catch (const std::exception& e) {
         if (error != nullptr) {
             *error = e.what();

@@ -1,6 +1,6 @@
 #include "fptc/serve/flightrec.hpp"
 
-#include "fptc/util/crc32.hpp"
+#include "fptc/util/bytes.hpp"
 #include "fptc/util/durable.hpp"
 #include "fptc/util/log.hpp"
 #include "fptc/util/telemetry.hpp"
@@ -9,8 +9,6 @@
 #include <bit>
 #include <chrono>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include <fcntl.h>
 #include <sys/mman.h>
@@ -40,15 +38,77 @@ constexpr std::size_t kWordsPerEvent = 4;
 constexpr std::size_t kMinCapacity = 64;
 constexpr std::size_t kMaxCapacity = std::size_t{1} << 20;
 
-std::size_t exemplar_words()
+// Word offsets inside a region, shared by the live recorder and
+// read_ring_file (which reads a dead worker's region from a file copy).
+std::size_t ring_head_index(std::size_t capacity, std::size_t ring)
 {
-    return kFrecStageCount * kFrecBuckets;
+    return kFileHeaderWords + kFrecStageCount * kFrecBuckets +
+           ring * (kRingHeaderWords + capacity * kWordsPerEvent);
 }
 
+/// Whole-region size: where a ring after the last one would start.
 std::size_t region_words(std::size_t capacity)
 {
-    return kFileHeaderWords + exemplar_words() +
-           kFrecRingCount * (kRingHeaderWords + capacity * kWordsPerEvent);
+    return ring_head_index(capacity, kFrecRingCount);
+}
+
+std::size_t exemplar_index(std::size_t stage, std::size_t bucket)
+{
+    return kFileHeaderWords + stage * kFrecBuckets + bucket;
+}
+
+std::uint64_t load_word(const std::uint64_t& word,
+                        std::memory_order order = std::memory_order_relaxed)
+{
+    return std::atomic_ref<const std::uint64_t>(word).load(order);
+}
+
+/// The surviving window of one ring whose head is `head`, oldest first.
+std::vector<FlightEvent> ring_events(const std::uint64_t* base, std::size_t capacity,
+                                     std::size_t ring, std::uint64_t head)
+{
+    const std::uint64_t count = std::min<std::uint64_t>(head, capacity);
+    std::vector<FlightEvent> out;
+    out.reserve(static_cast<std::size_t>(count));
+    const std::uint64_t* slots = base + ring_head_index(capacity, ring) + kRingHeaderWords;
+    for (std::uint64_t i = head - count; i < head; ++i) {
+        const std::uint64_t* slot = slots + (i % capacity) * kWordsPerEvent;
+        const std::uint64_t kd = load_word(slot[3]);
+        out.push_back(FlightEvent{
+            .ts_ns = load_word(slot[0]),
+            .flow_id = load_word(slot[1]),
+            .arg = load_word(slot[2]),
+            .kind = static_cast<std::uint32_t>(kd >> 32),
+            .detail = static_cast<std::uint32_t>(kd & 0xFFFFFFFFu),
+        });
+    }
+    return out;
+}
+
+/// Every ring window plus the non-empty exemplar slots of a region.
+Postmortem read_region(const std::uint64_t* base, std::size_t capacity)
+{
+    Postmortem out;
+    for (std::size_t r = 0; r < kFrecRingCount; ++r) {
+        const std::uint64_t head =
+            load_word(base[ring_head_index(capacity, r)], std::memory_order_acquire);
+        Postmortem::RingDump dump;
+        dump.ring = static_cast<std::uint32_t>(r);
+        dump.recorded = head;
+        dump.dropped = head > capacity ? head - capacity : 0;
+        dump.events = ring_events(base, capacity, r, head);
+        out.rings.push_back(std::move(dump));
+    }
+    for (std::size_t stage = 0; stage < kFrecStageCount; ++stage) {
+        for (std::size_t bucket = 0; bucket < kFrecBuckets; ++bucket) {
+            const std::uint64_t flow = load_word(base[exemplar_index(stage, bucket)]);
+            if (flow != 0) {
+                out.exemplars.push_back({static_cast<std::uint32_t>(stage),
+                                         static_cast<std::uint32_t>(bucket), flow});
+            }
+        }
+    }
+    return out;
 }
 
 std::uint64_t steady_ns()
@@ -64,68 +124,10 @@ std::atomic<FlightRecorder*> g_recorder{nullptr};
 // -------------------------- postmortem codec -------------------------------
 
 constexpr char kPmMagic[8] = {'F', 'P', 'T', 'C', 'P', 'M', 'R', 'T'};
-
-void put_bytes(std::string& out, const void* data, std::size_t size)
-{
-    out.append(static_cast<const char*>(data), size);
-}
-
-void put_u32(std::string& out, std::uint32_t value)
-{
-    put_bytes(out, &value, sizeof(value));
-}
-
-void put_u64(std::string& out, std::uint64_t value)
-{
-    put_bytes(out, &value, sizeof(value));
-}
-
-void put_string(std::string& out, const std::string& value)
-{
-    put_u64(out, value.size());
-    put_bytes(out, value.data(), value.size());
-}
-
-/// Bounds-checked sequential reader over the payload (snapshot.cpp idiom).
-struct Reader {
-    std::string_view data;
-    std::size_t off = 0;
-    bool ok = true;
-
-    bool bytes(void* out, std::size_t size)
-    {
-        if (!ok || off + size > data.size() || off + size < off) {
-            ok = false;
-            return false;
-        }
-        std::memcpy(out, data.data() + off, size);
-        off += size;
-        return true;
-    }
-    std::uint32_t u32()
-    {
-        std::uint32_t value = 0;
-        bytes(&value, sizeof(value));
-        return value;
-    }
-    std::uint64_t u64()
-    {
-        std::uint64_t value = 0;
-        bytes(&value, sizeof(value));
-        return value;
-    }
-    bool string(std::string& out, std::uint64_t max_len)
-    {
-        const std::uint64_t len = u64();
-        if (!ok || len > max_len || off + len > data.size()) {
-            ok = false;
-            return false;
-        }
-        out.assign(data.data() + off, len);
-        off += len;
-        return true;
-    }
-};
+/// Magic, u32 version, u64 payload length; the CRC trailer covers the payload.
+constexpr std::size_t kPmHeaderBytes =
+    sizeof(kPmMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
+constexpr std::uint64_t kPmEventBytes = 8 + 8 + 8 + 4 + 4;
 
 } // namespace
 
@@ -242,126 +244,104 @@ std::uint64_t Postmortem::event_count() const noexcept
 
 std::string encode_postmortem(const Postmortem& postmortem)
 {
-    std::string payload;
-    put_u32(payload, postmortem.reason);
-    put_u32(payload, postmortem.generation);
-    put_string(payload, postmortem.detail);
-    put_u32(payload, static_cast<std::uint32_t>(postmortem.rings.size()));
+    util::ByteWriter payload;
+    payload.put(postmortem.reason);
+    payload.put(postmortem.generation);
+    payload.put_string(postmortem.detail);
+    payload.put(static_cast<std::uint32_t>(postmortem.rings.size()));
     for (const Postmortem::RingDump& dump : postmortem.rings) {
-        put_u32(payload, dump.ring);
-        put_u64(payload, dump.recorded);
-        put_u64(payload, dump.dropped);
-        put_u64(payload, dump.events.size());
+        payload.put(dump.ring);
+        payload.put(dump.recorded);
+        payload.put(dump.dropped);
+        payload.put<std::uint64_t>(dump.events.size());
         for (const FlightEvent& event : dump.events) {
-            put_u64(payload, event.ts_ns);
-            put_u64(payload, event.flow_id);
-            put_u64(payload, event.arg);
-            put_u32(payload, event.kind);
-            put_u32(payload, event.detail);
+            payload.put(event.ts_ns);
+            payload.put(event.flow_id);
+            payload.put(event.arg);
+            payload.put(event.kind);
+            payload.put(event.detail);
         }
     }
-    put_u32(payload, static_cast<std::uint32_t>(postmortem.exemplars.size()));
+    payload.put(static_cast<std::uint32_t>(postmortem.exemplars.size()));
     for (const Postmortem::Exemplar& exemplar : postmortem.exemplars) {
-        put_u32(payload, exemplar.stage);
-        put_u32(payload, exemplar.bucket);
-        put_u64(payload, exemplar.flow_id);
+        payload.put(exemplar.stage);
+        payload.put(exemplar.bucket);
+        payload.put(exemplar.flow_id);
     }
-    put_string(payload, postmortem.metrics_text);
+    payload.put_string(postmortem.metrics_text);
 
-    std::string out;
-    out.reserve(sizeof(kPmMagic) + sizeof(std::uint32_t) * 2 + payload.size() +
-                sizeof(std::uint64_t));
-    put_bytes(out, kPmMagic, sizeof(kPmMagic));
-    put_u32(out, kPostmortemVersion);
-    put_u64(out, payload.size());
-    out += payload;
-    put_u32(out, util::crc32(payload));
-    return out;
+    util::ByteWriter out;
+    out.put_bytes(kPmMagic, sizeof(kPmMagic));
+    out.put(kPostmortemVersion);
+    out.put<std::uint64_t>(payload.size());
+    out.put_bytes(payload.bytes().data(), payload.size());
+    out.put_crc32<std::uint32_t>(kPmHeaderBytes);
+    return out.take();
 }
 
 std::optional<Postmortem> decode_postmortem(std::string_view bytes)
 {
-    const std::size_t header = sizeof(kPmMagic) + sizeof(std::uint32_t) + sizeof(std::uint64_t);
-    if (bytes.size() < header + sizeof(std::uint32_t)) {
+    util::ByteReader in(bytes);
+    if (!in.expect_bytes(kPmMagic, sizeof(kPmMagic)) ||
+        in.get<std::uint32_t>() != kPostmortemVersion) {
         return std::nullopt;
     }
-    if (std::memcmp(bytes.data(), kPmMagic, sizeof(kPmMagic)) != 0) {
-        return std::nullopt;
-    }
-    std::uint32_t version = 0;
-    std::memcpy(&version, bytes.data() + sizeof(kPmMagic), sizeof(version));
-    if (version != kPostmortemVersion) {
-        return std::nullopt;
-    }
-    std::uint64_t payload_size = 0;
-    std::memcpy(&payload_size, bytes.data() + sizeof(kPmMagic) + sizeof(version),
-                sizeof(payload_size));
-    if (payload_size != bytes.size() - header - sizeof(std::uint32_t)) {
-        return std::nullopt;
-    }
-    const std::string_view payload = bytes.substr(header, payload_size);
-    std::uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, bytes.data() + header + payload_size, sizeof(stored_crc));
-    if (util::crc32(payload) != stored_crc) {
+    const auto payload_size = in.get<std::uint64_t>();
+    if (!in.ok() || in.remaining() < sizeof(std::uint32_t) ||
+        payload_size != in.remaining() - sizeof(std::uint32_t)) {
         return std::nullopt;
     }
 
-    Reader in{payload};
     Postmortem out;
-    out.reason = in.u32();
-    out.generation = in.u32();
-    if (!in.string(out.detail, 1 << 16)) {
+    in.get(out.reason);
+    in.get(out.generation);
+    if (!in.get_string(out.detail, 1 << 16)) {
         return std::nullopt;
     }
-    const std::uint32_t ring_count = in.u32();
-    if (!in.ok || ring_count > 16) {
+    const auto ring_count = in.get<std::uint32_t>();
+    if (!in.ok() || ring_count > 16) {
         return std::nullopt;
     }
     out.rings.reserve(ring_count);
     for (std::uint32_t r = 0; r < ring_count; ++r) {
         Postmortem::RingDump dump;
-        dump.ring = in.u32();
-        dump.recorded = in.u64();
-        dump.dropped = in.u64();
-        const std::uint64_t count = in.u64();
-        if (!in.ok || count > (std::uint64_t{1} << 22)) {
+        in.get(dump.ring);
+        in.get(dump.recorded);
+        in.get(dump.dropped);
+        const auto count = in.get<std::uint64_t>();
+        if (!in.ok() || count > (std::uint64_t{1} << 22) ||
+            count > in.remaining() / kPmEventBytes) {
             return std::nullopt;
         }
         dump.events.reserve(static_cast<std::size_t>(count));
         for (std::uint64_t i = 0; i < count; ++i) {
             FlightEvent event;
-            event.ts_ns = in.u64();
-            event.flow_id = in.u64();
-            event.arg = in.u64();
-            event.kind = in.u32();
-            event.detail = in.u32();
-            if (!in.ok) {
-                return std::nullopt;
-            }
+            in.get(event.ts_ns);
+            in.get(event.flow_id);
+            in.get(event.arg);
+            in.get(event.kind);
+            in.get(event.detail);
             dump.events.push_back(event);
         }
         out.rings.push_back(std::move(dump));
     }
-    const std::uint32_t exemplar_count = in.u32();
-    if (!in.ok || exemplar_count > 16 * 128) {
+    const auto exemplar_count = in.get<std::uint32_t>();
+    if (!in.ok() || exemplar_count > 16 * 128) {
         return std::nullopt;
     }
     out.exemplars.reserve(exemplar_count);
     for (std::uint32_t i = 0; i < exemplar_count; ++i) {
         Postmortem::Exemplar exemplar;
-        exemplar.stage = in.u32();
-        exemplar.bucket = in.u32();
-        exemplar.flow_id = in.u64();
-        if (!in.ok) {
-            return std::nullopt;
-        }
+        in.get(exemplar.stage);
+        in.get(exemplar.bucket);
+        in.get(exemplar.flow_id);
         out.exemplars.push_back(exemplar);
     }
-    if (!in.string(out.metrics_text, std::uint64_t{1} << 26)) {
+    if (!in.get_string(out.metrics_text, std::uint64_t{1} << 26)) {
         return std::nullopt;
     }
-    if (!in.ok || in.off != payload.size()) {
-        return std::nullopt;  // trailing garbage = corruption, refuse
+    if (!in.check_crc32<std::uint32_t>(kPmHeaderBytes) || !in.at_end()) {
+        return std::nullopt;  // CRC mismatch or trailing garbage = corruption, refuse
     }
     return out;
 }
@@ -379,17 +359,11 @@ bool save_postmortem(const std::string& path, const Postmortem& postmortem)
 
 std::optional<Postmortem> load_postmortem(const std::string& path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> bytes = util::read_file(path);
+    if (!bytes.has_value()) {
         return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        return std::nullopt;
-    }
-    const std::string bytes = buffer.str();
-    return decode_postmortem(bytes);
+    return decode_postmortem(*bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -480,33 +454,16 @@ FlightRecorder::~FlightRecorder()
     base_ = nullptr;
 }
 
-std::uint64_t* FlightRecorder::ring_head(std::size_t ring) const noexcept
-{
-    const std::size_t ring_words = kRingHeaderWords + config_.ring_capacity * kWordsPerEvent;
-    return base_ + kFileHeaderWords + exemplar_words() + ring * ring_words;
-}
-
-std::uint64_t* FlightRecorder::ring_slots(std::size_t ring) const noexcept
-{
-    return ring_head(ring) + kRingHeaderWords;
-}
-
-std::uint64_t* FlightRecorder::exemplar_slot(std::size_t stage,
-                                             std::size_t bucket) const noexcept
-{
-    return base_ + kFileHeaderWords + stage * kFrecBuckets + bucket;
-}
-
 void FlightRecorder::note(FrecRing ring, FrecKind kind, std::uint64_t flow_id,
                           std::uint64_t arg, std::uint32_t detail) noexcept
 {
-    const std::size_t r = static_cast<std::size_t>(ring);
-    std::uint64_t* head_word = ring_head(r);
+    std::uint64_t* head_word =
+        base_ + ring_head_index(config_.ring_capacity, static_cast<std::size_t>(ring));
     // Single producer per ring: the relaxed head load sees this thread's own
     // last store; the release store publishes the fully-written slot.
-    const std::uint64_t head =
-        std::atomic_ref<std::uint64_t>(*head_word).load(std::memory_order_relaxed);
-    std::uint64_t* slot = ring_slots(r) + (head % config_.ring_capacity) * kWordsPerEvent;
+    const std::uint64_t head = load_word(*head_word);
+    std::uint64_t* slot =
+        head_word + kRingHeaderWords + (head % config_.ring_capacity) * kWordsPerEvent;
     const std::uint64_t ts = steady_ns() - epoch_ns_;
     const std::uint64_t kd =
         (static_cast<std::uint64_t>(kind) << 32) | static_cast<std::uint64_t>(detail);
@@ -521,42 +478,20 @@ void FlightRecorder::observe_exemplar(FrecStage stage, std::uint64_t value,
                                       std::uint64_t flow_id) noexcept
 {
     const std::size_t bucket = frec_bucket(value);
-    std::atomic_ref<std::uint64_t>(
-        *exemplar_slot(static_cast<std::size_t>(stage), bucket))
+    std::atomic_ref<std::uint64_t>(base_[exemplar_index(static_cast<std::size_t>(stage), bucket)])
         .store(flow_id, std::memory_order_relaxed);
 }
 
 std::vector<FlightEvent> FlightRecorder::ring_snapshot(FrecRing ring) const
 {
-    const std::size_t r = static_cast<std::size_t>(ring);
-    const std::uint64_t head =
-        std::atomic_ref<std::uint64_t>(*ring_head(r)).load(std::memory_order_acquire);
-    const std::uint64_t count = std::min<std::uint64_t>(head, config_.ring_capacity);
-    std::vector<FlightEvent> out;
-    out.reserve(static_cast<std::size_t>(count));
-    const std::uint64_t* slots = ring_slots(r);
-    for (std::uint64_t i = head - count; i < head; ++i) {
-        const std::uint64_t* slot = slots + (i % config_.ring_capacity) * kWordsPerEvent;
-        FlightEvent event;
-        event.ts_ns = std::atomic_ref<const std::uint64_t>(slot[0])
-                          .load(std::memory_order_relaxed);
-        event.flow_id = std::atomic_ref<const std::uint64_t>(slot[1])
-                            .load(std::memory_order_relaxed);
-        event.arg = std::atomic_ref<const std::uint64_t>(slot[2])
-                        .load(std::memory_order_relaxed);
-        const std::uint64_t kd = std::atomic_ref<const std::uint64_t>(slot[3])
-                                     .load(std::memory_order_relaxed);
-        event.kind = static_cast<std::uint32_t>(kd >> 32);
-        event.detail = static_cast<std::uint32_t>(kd & 0xFFFFFFFFu);
-        out.push_back(event);
-    }
-    return out;
+    return ring_events(base_, config_.ring_capacity, static_cast<std::size_t>(ring),
+                       recorded(ring));
 }
 
 std::uint64_t FlightRecorder::recorded(FrecRing ring) const noexcept
 {
-    return std::atomic_ref<std::uint64_t>(*ring_head(static_cast<std::size_t>(ring)))
-        .load(std::memory_order_acquire);
+    return load_word(base_[ring_head_index(config_.ring_capacity, static_cast<std::size_t>(ring))],
+                     std::memory_order_acquire);
 }
 
 std::uint64_t FlightRecorder::dropped(FrecRing ring) const noexcept
@@ -588,36 +523,17 @@ std::uint64_t FlightRecorder::exemplar(FrecStage stage, std::size_t bucket) cons
     if (bucket >= kFrecBuckets) {
         return 0;
     }
-    return std::atomic_ref<const std::uint64_t>(
-               *exemplar_slot(static_cast<std::size_t>(stage), bucket))
-        .load(std::memory_order_relaxed);
+    return load_word(base_[exemplar_index(static_cast<std::size_t>(stage), bucket)]);
 }
 
 Postmortem FlightRecorder::build_postmortem(PostmortemReason reason, std::string detail,
                                             std::string metrics_text) const
 {
-    Postmortem out;
+    Postmortem out = read_region(base_, config_.ring_capacity);
     out.reason = static_cast<std::uint32_t>(reason);
     out.generation = config_.generation;
     out.detail = std::move(detail);
     out.metrics_text = std::move(metrics_text);
-    for (std::size_t r = 0; r < kFrecRingCount; ++r) {
-        Postmortem::RingDump dump;
-        dump.ring = static_cast<std::uint32_t>(r);
-        dump.recorded = recorded(static_cast<FrecRing>(r));
-        dump.dropped = dropped(static_cast<FrecRing>(r));
-        dump.events = ring_snapshot(static_cast<FrecRing>(r));
-        out.rings.push_back(std::move(dump));
-    }
-    for (std::size_t stage = 0; stage < kFrecStageCount; ++stage) {
-        for (std::size_t bucket = 0; bucket < kFrecBuckets; ++bucket) {
-            const std::uint64_t flow = exemplar(static_cast<FrecStage>(stage), bucket);
-            if (flow != 0) {
-                out.exemplars.push_back({static_cast<std::uint32_t>(stage),
-                                         static_cast<std::uint32_t>(bucket), flow});
-            }
-        }
-    }
     return out;
 }
 
@@ -647,84 +563,31 @@ void FlightRecorder::remove_backing() noexcept
 
 std::optional<Postmortem> FlightRecorder::read_ring_file(const std::string& ring_path)
 {
-    std::ifstream in(ring_path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> bytes = util::read_file(ring_path);
+    if (!bytes.has_value() || bytes->size() < kFileHeaderWords * sizeof(std::uint64_t) ||
+        bytes->size() % sizeof(std::uint64_t) != 0) {
         return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
+    // Aligned u64 words, so the live recorder's region reader applies.
+    std::vector<std::uint64_t> words(bytes->size() / sizeof(std::uint64_t));
+    std::memcpy(words.data(), bytes->data(), bytes->size());
+    if (std::memcmp(words.data(), kRingMagic, sizeof(kRingMagic)) != 0 ||
+        words[1] != kRingVersion) {
         return std::nullopt;
     }
-    const std::string bytes = buffer.str();
-    if (bytes.size() < kFileHeaderWords * sizeof(std::uint64_t) ||
-        bytes.size() % sizeof(std::uint64_t) != 0) {
-        return std::nullopt;
-    }
-    if (std::memcmp(bytes.data(), kRingMagic, sizeof(kRingMagic)) != 0) {
-        return std::nullopt;
-    }
-    const auto word = [&](std::size_t index) {
-        std::uint64_t value = 0;
-        std::memcpy(&value, bytes.data() + index * sizeof(std::uint64_t), sizeof(value));
-        return value;
-    };
-    if (word(1) != kRingVersion) {
-        return std::nullopt;
-    }
-    const std::uint64_t generation = word(2);
-    const std::uint64_t ring_count = word(3);
-    const std::uint64_t capacity = word(4);
-    const std::uint64_t stage_count = word(5);
-    const std::uint64_t bucket_count = word(6);
+    const std::uint64_t generation = words[2];
+    const std::uint64_t ring_count = words[3];
+    const std::uint64_t capacity = words[4];
+    const std::uint64_t stage_count = words[5];
+    const std::uint64_t bucket_count = words[6];
     if (ring_count != kFrecRingCount || stage_count != kFrecStageCount ||
         bucket_count != kFrecBuckets || capacity < kMinCapacity ||
-        capacity > kMaxCapacity) {
+        capacity > kMaxCapacity ||
+        words.size() < region_words(static_cast<std::size_t>(capacity))) {
         return std::nullopt;
     }
-    const std::size_t expected =
-        region_words(static_cast<std::size_t>(capacity)) * sizeof(std::uint64_t);
-    if (bytes.size() < expected) {
-        return std::nullopt;
-    }
-
-    Postmortem out;
+    Postmortem out = read_region(words.data(), static_cast<std::size_t>(capacity));
     out.generation = static_cast<std::uint32_t>(generation);
-    const std::size_t ring_words =
-        kRingHeaderWords + static_cast<std::size_t>(capacity) * kWordsPerEvent;
-    for (std::size_t r = 0; r < kFrecRingCount; ++r) {
-        const std::size_t ring_base = kFileHeaderWords + exemplar_words() + r * ring_words;
-        const std::uint64_t head = word(ring_base);
-        const std::uint64_t count = std::min(head, capacity);
-        Postmortem::RingDump dump;
-        dump.ring = static_cast<std::uint32_t>(r);
-        dump.recorded = head;
-        dump.dropped = head > capacity ? head - capacity : 0;
-        dump.events.reserve(static_cast<std::size_t>(count));
-        for (std::uint64_t i = head - count; i < head; ++i) {
-            const std::size_t slot = ring_base + kRingHeaderWords +
-                                     static_cast<std::size_t>(i % capacity) * kWordsPerEvent;
-            FlightEvent event;
-            event.ts_ns = word(slot);
-            event.flow_id = word(slot + 1);
-            event.arg = word(slot + 2);
-            const std::uint64_t kd = word(slot + 3);
-            event.kind = static_cast<std::uint32_t>(kd >> 32);
-            event.detail = static_cast<std::uint32_t>(kd & 0xFFFFFFFFu);
-            dump.events.push_back(event);
-        }
-        out.rings.push_back(std::move(dump));
-    }
-    for (std::size_t stage = 0; stage < kFrecStageCount; ++stage) {
-        for (std::size_t bucket = 0; bucket < kFrecBuckets; ++bucket) {
-            const std::uint64_t flow =
-                word(kFileHeaderWords + stage * kFrecBuckets + bucket);
-            if (flow != 0) {
-                out.exemplars.push_back({static_cast<std::uint32_t>(stage),
-                                         static_cast<std::uint32_t>(bucket), flow});
-            }
-        }
-    }
     return out;
 }
 

@@ -276,11 +276,6 @@ public:
                                     std::string detail);
 
 private:
-    [[nodiscard]] std::uint64_t* ring_head(std::size_t ring) const noexcept;
-    [[nodiscard]] std::uint64_t* ring_slots(std::size_t ring) const noexcept;
-    [[nodiscard]] std::uint64_t* exemplar_slot(std::size_t stage,
-                                               std::size_t bucket) const noexcept;
-
     FrecConfig config_;
     std::uint64_t* base_ = nullptr;  ///< whole region, u64 words
     std::size_t words_ = 0;

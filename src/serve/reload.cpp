@@ -4,11 +4,12 @@
 #include "fptc/nn/serialize.hpp"
 #include "fptc/trafficgen/traffic_model.hpp"
 #include "fptc/trafficgen/ucdavis19.hpp"
-#include "fptc/util/crc32.hpp"
+#include "fptc/util/bytes.hpp"
+#include "fptc/util/durable.hpp"
 #include "fptc/util/rng.hpp"
 #include "fptc/util/telemetry.hpp"
 
-#include <fstream>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -40,22 +41,6 @@ std::vector<ReadyFlow> make_golden_buffer(const ReloadConfig& config)
         }
     }
     return golden;
-}
-
-/// Whole-file read; empty optional-style "" + false on any failure.
-bool read_file(const std::string& path, std::string& bytes)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        return false;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) {
-        return false;
-    }
-    bytes = buffer.str();
-    return !bytes.empty();
 }
 
 } // namespace
@@ -102,10 +87,11 @@ ModelReloader::Outcome ModelReloader::check_now()
     if (!enabled()) {
         return Outcome::disabled;
     }
-    std::string bytes;
-    if (!read_file(config_.path, bytes)) {
+    const std::optional<std::string> file = util::read_file(config_.path);
+    if (!file.has_value() || file->empty()) {
         return Outcome::no_candidate;
     }
+    const std::string& bytes = *file;
     const std::uint32_t crc = util::crc32(bytes);
     if (has_last_crc_ && crc == last_crc_) {
         return Outcome::unchanged;

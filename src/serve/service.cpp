@@ -28,6 +28,7 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <signal.h>
@@ -212,6 +213,40 @@ struct ServeState {
     std::atomic<std::uint64_t> postmortems_written{0};
 };
 
+/// The snapshot counters the ServeState atomics carry across a restart:
+/// seeded from the cut on restore, captured into it at each marker (the
+/// driver-owned events_total / events_dropped_queue travel in the marker).
+/// At capture the assembler-owned fields (up to shed_restart_loss) are
+/// exact — FIFO order guarantees every surviving event before the
+/// watermark has been folded into the table; the classifier-owned rest are
+/// relaxed samples that may lag, which only under-counts and is absorbed by
+/// the restore-time deficit as restart_loss, never a broken invariant.
+constexpr std::pair<std::uint64_t SnapshotCounters::*, std::atomic<std::uint64_t> ServeState::*>
+    kCarriedCounters[] = {
+        {&SnapshotCounters::events_quarantined, &ServeState::events_quarantined},
+        {&SnapshotCounters::events_dropped_mem, &ServeState::events_dropped_mem},
+        {&SnapshotCounters::events_dropped_slo, &ServeState::events_dropped_slo},
+        {&SnapshotCounters::events_quarantined_backwards,
+         &ServeState::events_quarantined_backwards},
+        {&SnapshotCounters::flows_ingested, &ServeState::flows_ingested},
+        {&SnapshotCounters::shed_mem_budget, &ServeState::shed_mem_budget},
+        {&SnapshotCounters::shed_queue_full, &ServeState::shed_queue_full},
+        {&SnapshotCounters::shed_restart_loss, &ServeState::shed_restart_loss},
+        {&SnapshotCounters::flows_classified, &ServeState::flows_classified},
+        {&SnapshotCounters::flows_correct, &ServeState::flows_correct},
+        {&SnapshotCounters::shed_deadline, &ServeState::shed_deadline},
+        {&SnapshotCounters::shed_breaker, &ServeState::shed_breaker},
+        {&SnapshotCounters::shed_slo, &ServeState::shed_slo},
+        {&SnapshotCounters::batches, &ServeState::batches},
+        {&SnapshotCounters::slo_violations, &ServeState::slo_violations},
+        {&SnapshotCounters::flows_unknown, &ServeState::flows_unknown},
+        {&SnapshotCounters::unknown_truth_total, &ServeState::unknown_truth_total},
+        {&SnapshotCounters::unknown_truth_rejected, &ServeState::unknown_truth_rejected},
+        {&SnapshotCounters::drift_alarms, &ServeState::drift_alarms},
+        {&SnapshotCounters::reloads, &ServeState::reloads},
+        {&SnapshotCounters::reload_rollbacks, &ServeState::reload_rollbacks},
+};
+
 /// Cached registry instruments (lookups mutex, instruments lock-free).
 struct ServeMetrics {
     util::Counter& events = util::metrics().counter("fptc_serve_events_total");
@@ -370,27 +405,10 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
         const std::uint64_t loss = base.flows_ingested > accounted_at_cut
                                        ? base.flows_ingested - accounted_at_cut
                                        : 0;
-        state.events_quarantined.store(base.events_quarantined);
-        state.events_dropped_mem.store(base.events_dropped_mem);
-        state.events_dropped_slo.store(base.events_dropped_slo);
-        state.flows_ingested.store(base.flows_ingested);
-        state.flows_classified.store(base.flows_classified);
-        state.flows_correct.store(base.flows_correct);
-        state.shed_mem_budget.store(base.shed_mem_budget);
-        state.shed_queue_full.store(base.shed_queue_full);
-        state.shed_deadline.store(base.shed_deadline);
-        state.shed_breaker.store(base.shed_breaker);
-        state.shed_slo.store(base.shed_slo);
+        for (const auto& [field, live] : kCarriedCounters) {
+            (state.*live).store(base.*field);
+        }
         state.shed_restart_loss.store(base.shed_restart_loss + loss);
-        state.batches.store(base.batches);
-        state.slo_violations.store(base.slo_violations);
-        state.flows_unknown.store(base.flows_unknown);
-        state.unknown_truth_total.store(base.unknown_truth_total);
-        state.unknown_truth_rejected.store(base.unknown_truth_rejected);
-        state.events_quarantined_backwards.store(base.events_quarantined_backwards);
-        state.drift_alarms.store(base.drift_alarms);
-        state.reloads.store(base.reloads);
-        state.reload_rollbacks.store(base.reload_rollbacks);
         state.model_generation.store(snap->model_generation);
         if (loss > 0) {
             instruments.shed_restart.add(loss);
@@ -464,35 +482,9 @@ ServeReport StreamingClassifier::run(InterleavedStream& stream)
             SnapshotCounters& c = out.counters;
             c.events_total = cut.events_total;
             c.events_dropped_queue = cut.events_dropped_queue;
-            // Assembler-owned counters: exact at this point — FIFO order
-            // guarantees every surviving event before the watermark has
-            // been folded into the table already.
-            c.events_quarantined = state.events_quarantined.load(std::memory_order_relaxed);
-            c.events_dropped_mem = state.events_dropped_mem.load(std::memory_order_relaxed);
-            c.events_dropped_slo = state.events_dropped_slo.load(std::memory_order_relaxed);
-            c.events_quarantined_backwards =
-                state.events_quarantined_backwards.load(std::memory_order_relaxed);
-            c.flows_ingested = state.flows_ingested.load(std::memory_order_relaxed);
-            c.shed_mem_budget = state.shed_mem_budget.load(std::memory_order_relaxed);
-            c.shed_queue_full = state.shed_queue_full.load(std::memory_order_relaxed);
-            c.shed_restart_loss = state.shed_restart_loss.load(std::memory_order_relaxed);
-            // Classifier-owned counters: relaxed samples that may lag.  Lag
-            // only under-counts, which the restore-time deficit absorbs as
-            // restart_loss — never a broken invariant.
-            c.flows_classified = state.flows_classified.load(std::memory_order_relaxed);
-            c.flows_correct = state.flows_correct.load(std::memory_order_relaxed);
-            c.shed_deadline = state.shed_deadline.load(std::memory_order_relaxed);
-            c.shed_breaker = state.shed_breaker.load(std::memory_order_relaxed);
-            c.shed_slo = state.shed_slo.load(std::memory_order_relaxed);
-            c.batches = state.batches.load(std::memory_order_relaxed);
-            c.slo_violations = state.slo_violations.load(std::memory_order_relaxed);
-            c.flows_unknown = state.flows_unknown.load(std::memory_order_relaxed);
-            c.unknown_truth_total = state.unknown_truth_total.load(std::memory_order_relaxed);
-            c.unknown_truth_rejected =
-                state.unknown_truth_rejected.load(std::memory_order_relaxed);
-            c.drift_alarms = state.drift_alarms.load(std::memory_order_relaxed);
-            c.reloads = state.reloads.load(std::memory_order_relaxed);
-            c.reload_rollbacks = state.reload_rollbacks.load(std::memory_order_relaxed);
+            for (const auto& [field, live] : kCarriedCounters) {
+                c.*field = (state.*live).load(std::memory_order_relaxed);
+            }
             out.flows = table.snapshot_entries();
             try {
                 save_snapshot(config_.snapshot_path, out);

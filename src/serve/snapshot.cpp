@@ -1,183 +1,115 @@
 #include "fptc/serve/snapshot.hpp"
 
-#include "fptc/util/crc32.hpp"
+#include "fptc/util/bytes.hpp"
 #include "fptc/util/durable.hpp"
 #include "fptc/util/telemetry.hpp"
-
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 namespace fptc::serve {
 
 namespace {
 
 constexpr char kMagic[8] = {'F', 'P', 'T', 'C', 'S', 'N', 'A', 'P'};
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + sizeof(std::uint32_t);
 
-// Fixed-width little-endian-on-every-supported-target primitives.  The
-// snapshot is a same-host crash-recovery artifact, not an interchange
-// format, so native byte order via memcpy is sufficient and keeps the
-// codec trivially ubsan-clean.
-void put_bytes(std::string& out, const void* data, std::size_t size)
-{
-    out.append(static_cast<const char*>(data), size);
-}
-
-void put_u32(std::string& out, std::uint32_t value) { put_bytes(out, &value, sizeof value); }
-void put_u64(std::string& out, std::uint64_t value) { put_bytes(out, &value, sizeof value); }
-void put_f64(std::string& out, double value) { put_bytes(out, &value, sizeof value); }
-
-/// Bounds-checked reads; false = truncated.
-struct Reader {
-    std::string_view data;
-    std::size_t off = 0;
-
-    bool bytes(void* dest, std::size_t size)
-    {
-        if (off + size > data.size()) {
-            return false;
-        }
-        std::memcpy(dest, data.data() + off, size);
-        off += size;
-        return true;
-    }
-
-    bool u32(std::uint32_t& value) { return bytes(&value, sizeof value); }
-    bool u64(std::uint64_t& value) { return bytes(&value, sizeof value); }
-    bool f64(double& value) { return bytes(&value, sizeof value); }
+/// The on-disk order of the counter cut, shared by encode and decode.
+constexpr std::uint64_t SnapshotCounters::*kCounterFields[] = {
+    &SnapshotCounters::events_total,
+    &SnapshotCounters::events_quarantined,
+    &SnapshotCounters::events_dropped_queue,
+    &SnapshotCounters::events_dropped_mem,
+    &SnapshotCounters::events_dropped_slo,
+    &SnapshotCounters::flows_ingested,
+    &SnapshotCounters::flows_classified,
+    &SnapshotCounters::flows_correct,
+    &SnapshotCounters::shed_mem_budget,
+    &SnapshotCounters::shed_queue_full,
+    &SnapshotCounters::shed_deadline,
+    &SnapshotCounters::shed_breaker,
+    &SnapshotCounters::shed_slo,
+    &SnapshotCounters::shed_restart_loss,
+    &SnapshotCounters::batches,
+    &SnapshotCounters::slo_violations,
+    &SnapshotCounters::flows_unknown,
+    &SnapshotCounters::unknown_truth_total,
+    &SnapshotCounters::unknown_truth_rejected,
+    &SnapshotCounters::events_quarantined_backwards,
+    &SnapshotCounters::drift_alarms,
+    &SnapshotCounters::reloads,
+    &SnapshotCounters::reload_rollbacks,
 };
-
-void put_counters(std::string& out, const SnapshotCounters& c)
-{
-    put_u64(out, c.events_total);
-    put_u64(out, c.events_quarantined);
-    put_u64(out, c.events_dropped_queue);
-    put_u64(out, c.events_dropped_mem);
-    put_u64(out, c.events_dropped_slo);
-    put_u64(out, c.flows_ingested);
-    put_u64(out, c.flows_classified);
-    put_u64(out, c.flows_correct);
-    put_u64(out, c.shed_mem_budget);
-    put_u64(out, c.shed_queue_full);
-    put_u64(out, c.shed_deadline);
-    put_u64(out, c.shed_breaker);
-    put_u64(out, c.shed_slo);
-    put_u64(out, c.shed_restart_loss);
-    put_u64(out, c.batches);
-    put_u64(out, c.slo_violations);
-    put_u64(out, c.flows_unknown);
-    put_u64(out, c.unknown_truth_total);
-    put_u64(out, c.unknown_truth_rejected);
-    put_u64(out, c.events_quarantined_backwards);
-    put_u64(out, c.drift_alarms);
-    put_u64(out, c.reloads);
-    put_u64(out, c.reload_rollbacks);
-}
-
-bool get_counters(Reader& in, SnapshotCounters& c)
-{
-    return in.u64(c.events_total) && in.u64(c.events_quarantined) &&
-           in.u64(c.events_dropped_queue) && in.u64(c.events_dropped_mem) &&
-           in.u64(c.events_dropped_slo) && in.u64(c.flows_ingested) &&
-           in.u64(c.flows_classified) && in.u64(c.flows_correct) && in.u64(c.shed_mem_budget) &&
-           in.u64(c.shed_queue_full) && in.u64(c.shed_deadline) && in.u64(c.shed_breaker) &&
-           in.u64(c.shed_slo) && in.u64(c.shed_restart_loss) && in.u64(c.batches) &&
-           in.u64(c.slo_violations) && in.u64(c.flows_unknown) && in.u64(c.unknown_truth_total) &&
-           in.u64(c.unknown_truth_rejected) && in.u64(c.events_quarantined_backwards) &&
-           in.u64(c.drift_alarms) && in.u64(c.reloads) && in.u64(c.reload_rollbacks);
-}
 
 } // namespace
 
 std::string encode_snapshot(const ServeSnapshot& snapshot)
 {
     FPTC_TRACE_SPAN("serve_snapshot_encode");
-    std::string payload;
-    put_u64(payload, snapshot.watermark);
-    put_f64(payload, snapshot.stream_now);
-    put_u32(payload, snapshot.generation);
-    put_u32(payload, snapshot.model_generation);
-    put_u64(payload, snapshot.config_fingerprint);
-    put_counters(payload, snapshot.counters);
-    put_u64(payload, snapshot.flows.size());
+    util::ByteWriter out;
+    out.put_bytes(kMagic, sizeof kMagic);
+    out.put(kSnapshotVersion);
+    out.put(snapshot.watermark);
+    out.put(snapshot.stream_now);
+    out.put(snapshot.generation);
+    out.put(snapshot.model_generation);
+    out.put(snapshot.config_fingerprint);
+    for (const auto field : kCounterFields) {
+        out.put(snapshot.counters.*field);
+    }
+    out.put<std::uint64_t>(snapshot.flows.size());
     for (const SnapshotFlow& flow : snapshot.flows) {
-        put_u64(payload, flow.flow_id);
-        put_u32(payload, flow.label);
-        put_f64(payload, flow.first_ts);
-        put_u64(payload, flow.packets.size());
+        out.put(flow.flow_id);
+        out.put(flow.label);
+        out.put(flow.first_ts);
+        out.put<std::uint64_t>(flow.packets.size());
         for (const flow::Packet& packet : flow.packets) {
-            put_f64(payload, packet.timestamp);
-            put_u32(payload, static_cast<std::uint32_t>(packet.size));
-            put_u32(payload, packet.direction == flow::Direction::upstream ? 1u : 0u);
+            out.put(packet.timestamp);
+            out.put(static_cast<std::uint32_t>(packet.size));
+            out.put<std::uint32_t>(packet.direction == flow::Direction::upstream ? 1u : 0u);
         }
     }
-
-    std::string out;
-    out.reserve(sizeof(kMagic) + sizeof(std::uint32_t) * 2 + payload.size());
-    put_bytes(out, kMagic, sizeof kMagic);
-    put_u32(out, kSnapshotVersion);
-    out += payload;
-    put_u32(out, util::crc32(payload));
-    return out;
+    out.put_crc32<std::uint32_t>(kHeaderBytes);
+    return out.take();
 }
 
 std::optional<ServeSnapshot> decode_snapshot(std::string_view data)
 {
     FPTC_TRACE_SPAN("serve_snapshot_decode");
-    constexpr std::size_t header = sizeof(kMagic) + sizeof(std::uint32_t);
-    constexpr std::size_t trailer = sizeof(std::uint32_t);
-    if (data.size() < header + trailer) {
+    util::ByteReader in(data);
+    if (!in.expect_bytes(kMagic, sizeof kMagic) || in.get<std::uint32_t>() != kSnapshotVersion) {
         return std::nullopt;
     }
-    if (std::memcmp(data.data(), kMagic, sizeof kMagic) != 0) {
-        return std::nullopt;
-    }
-    Reader in{data, sizeof(kMagic)};
-    std::uint32_t version = 0;
-    if (!in.u32(version) || version != kSnapshotVersion) {
-        return std::nullopt;
-    }
-    const std::string_view payload = data.substr(header, data.size() - header - trailer);
-    std::uint32_t stored_crc = 0;
-    std::memcpy(&stored_crc, data.data() + data.size() - trailer, trailer);
-    if (util::crc32(payload) != stored_crc) {
-        return std::nullopt;
-    }
-
     ServeSnapshot snapshot;
-    if (!in.u64(snapshot.watermark) || !in.f64(snapshot.stream_now) ||
-        !in.u32(snapshot.generation) || !in.u32(snapshot.model_generation) ||
-        !in.u64(snapshot.config_fingerprint) || !get_counters(in, snapshot.counters)) {
-        return std::nullopt;
+    in.get(snapshot.watermark);
+    in.get(snapshot.stream_now);
+    in.get(snapshot.generation);
+    in.get(snapshot.model_generation);
+    in.get(snapshot.config_fingerprint);
+    for (const auto field : kCounterFields) {
+        in.get(snapshot.counters.*field);
     }
-    std::uint64_t flow_count = 0;
-    if (!in.u64(flow_count)) {
-        return std::nullopt;
-    }
-    // Cheap sanity bound before reserving: each flow needs at least its
-    // fixed-size header in the payload.
+    // Sanity bounds before reserving: the rest of the record must hold
+    // each flow's fixed-size header and each packet's 16 bytes.
     constexpr std::uint64_t kFlowHeaderBytes = 8 + 4 + 8 + 8;
-    if (flow_count > data.size() / kFlowHeaderBytes + 1) {
+    constexpr std::uint64_t kPacketBytes = 8 + 4 + 4;
+    const auto flow_count = in.get<std::uint64_t>();
+    if (!in.ok() || flow_count > in.remaining() / kFlowHeaderBytes) {
         return std::nullopt;
     }
     snapshot.flows.reserve(static_cast<std::size_t>(flow_count));
     for (std::uint64_t f = 0; f < flow_count; ++f) {
         SnapshotFlow flow;
-        std::uint64_t packet_count = 0;
-        if (!in.u64(flow.flow_id) || !in.u32(flow.label) || !in.f64(flow.first_ts) ||
-            !in.u64(packet_count)) {
-            return std::nullopt;
-        }
-        constexpr std::uint64_t kPacketBytes = 8 + 4 + 4;
-        if (packet_count > data.size() / kPacketBytes + 1) {
+        in.get(flow.flow_id);
+        in.get(flow.label);
+        in.get(flow.first_ts);
+        const auto packet_count = in.get<std::uint64_t>();
+        if (!in.ok() || packet_count > in.remaining() / kPacketBytes) {
             return std::nullopt;
         }
         flow.packets.reserve(static_cast<std::size_t>(packet_count));
         for (std::uint64_t p = 0; p < packet_count; ++p) {
-            double ts = 0.0;
-            std::uint32_t size = 0;
-            std::uint32_t direction = 0;
-            if (!in.f64(ts) || !in.u32(size) || !in.u32(direction)) {
+            const auto ts = in.get<double>();
+            const auto size = in.get<std::uint32_t>();
+            const auto direction = in.get<std::uint32_t>();
+            if (!in.ok()) {
                 return std::nullopt;
             }
             flow.packets.push_back(flow::Packet{
@@ -190,8 +122,8 @@ std::optional<ServeSnapshot> decode_snapshot(std::string_view data)
         }
         snapshot.flows.push_back(std::move(flow));
     }
-    if (in.off != header + (data.size() - header - trailer)) {
-        return std::nullopt;  // trailing garbage inside the checksummed payload
+    if (!in.check_crc32<std::uint32_t>(kHeaderBytes) || !in.at_end()) {
+        return std::nullopt;
     }
     return snapshot;
 }
@@ -204,16 +136,11 @@ void save_snapshot(const std::string& path, const ServeSnapshot& snapshot)
 std::optional<ServeSnapshot> load_snapshot(const std::string& path,
                                            std::uint64_t expect_fingerprint)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> bytes = util::read_file(path);
+    if (!bytes.has_value()) {
         return std::nullopt;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (!in.good() && !in.eof()) {
-        return std::nullopt;
-    }
-    auto snapshot = decode_snapshot(buffer.str());
+    auto snapshot = decode_snapshot(*bytes);
     if (snapshot.has_value() && expect_fingerprint != 0 &&
         snapshot->config_fingerprint != expect_fingerprint) {
         return std::nullopt;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -163,6 +164,21 @@ void DurableFile::write_file(const std::string& path, std::string_view content)
     DurableFile file(path);
     file.write(content);
     file.commit();
+}
+
+std::optional<std::string> read_file(const std::string& path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes;
+    char chunk[1 << 14];
+    while (in.read(chunk, sizeof chunk) || in.gcount() > 0) {
+        bytes.append(chunk, static_cast<std::size_t>(in.gcount()));
+    }
+    // A failed open leaves the file closed; a failed read sets badbit.
+    if (!in.is_open() || in.bad()) {
+        return std::nullopt;
+    }
+    return bytes;
 }
 
 void durable_append_line(const std::string& path, std::string_view line)

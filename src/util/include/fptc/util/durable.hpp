@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstddef>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -89,6 +90,11 @@ private:
     int fd_ = -1;
     bool committed_ = false;
 };
+
+/// Whole-file read: the file's bytes, or nullopt when it cannot be opened
+/// or a read fails.  The counterpart of DurableFile::write_file for every
+/// reader of a durably written artifact.
+[[nodiscard]] std::optional<std::string> read_file(const std::string& path);
 
 /// Durably append `line` + '\n' to `path` (created 0644 if absent): one
 /// O_APPEND write through the fault shim, then fsync.  Concurrent callers

@@ -497,41 +497,11 @@ done
 # BM_FlightRecDisabled runs the real frec_note() call with the gate off on
 # top of the span-free BM_SpanOverheadBaseline workload; the disabled hot
 # path must stay within 2% (+2 ns slack) of that baseline — the same
-# contract and gate idiom as the telemetry span pair in run_telemetry.sh.
+# contract and gate as the telemetry span pair in run_telemetry.sh.
 if [ -n "$MICRO" ]; then
-    if [ ! -x "$MICRO" ]; then
-        echo "run_serve_torture: FAIL: micro benchmark binary '$MICRO' not found" >&2
-        exit 1
-    fi
-    echo "run_serve_torture: disabled flight-recorder overhead gate (3 reps, min ns/op)..."
-    micro_dir="$WORK/micro"
-    mkdir -p "$micro_dir"
-    env FPTC_ARTIFACTS_DIR="$micro_dir" "$MICRO" \
-        --benchmark_filter='BM_SpanOverheadBaseline|BM_FlightRecDisabled' \
-        --benchmark_min_time=0.2 --benchmark_repetitions=3 \
-        >"$micro_dir/micro_stdout.txt" 2>&1
-    if [ ! -s "$micro_dir/BENCH_micro.json" ]; then
-        echo "run_serve_torture: FAIL: micro_benchmarks wrote no BENCH_micro.json" >&2
-        exit 1
-    fi
-    python3 - "$micro_dir/BENCH_micro.json" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    runs = json.load(f)["benchmarks"]
-def best(name):
-    times = [r["ns_per_op"] for r in runs if r["name"] == name]
-    assert times, f"benchmark {name} missing from BENCH_micro.json"
-    return min(times)
-baseline = best("BM_SpanOverheadBaseline")
-disabled = best("BM_FlightRecDisabled")
-limit = baseline * 1.02 + 2.0
-print(f"run_serve_torture: baseline {baseline:.1f} ns/op, disabled recorder "
-      f"{disabled:.1f} ns/op, limit {limit:.1f}")
-assert disabled <= limit, (
-    f"disabled flight-recorder overhead regressed: {disabled:.1f} ns/op > "
-    f"{limit:.1f} ns/op (baseline {baseline:.1f} * 1.02 + 2 ns)")
-EOF
+    echo "run_serve_torture: disabled flight-recorder overhead gate..."
+    python3 tests/overhead_gate.py "$MICRO" BM_SpanOverheadBaseline \
+        BM_FlightRecDisabled run_serve_torture
 fi
 
 echo "run_serve_torture: PASS"

@@ -12,7 +12,8 @@
 #   * a bad FPTC_TRACE sink fails fast (EnvError before any unit runs),
 #   * optionally (second argument = micro_benchmarks binary): the
 #     disabled-path span overhead stays within 2% (+2 ns slack) of an
-#     identical span-free workload.
+#     identical span-free workload (tests/overhead_gate.py: medians of
+#     interleaved repetitions).
 #
 # Usage, from the repo root (binary defaults to build/bench/table4_augmentations):
 #
@@ -122,37 +123,9 @@ if ! grep -q "FPTC_TRACE" "$WORK/stderr_bad.txt"; then
 fi
 
 if [[ -n "$MICRO" ]]; then
-    if [[ ! -x "$MICRO" ]]; then
-        echo "run_telemetry: FAIL: micro benchmark binary '$MICRO' not found" >&2
-        exit 1
-    fi
-    echo "run_telemetry: disabled-path overhead gate (3 repetitions, min ns/op)..."
-    env FPTC_ARTIFACTS_DIR="$WORK" "$MICRO" \
-        --benchmark_filter='BM_SpanOverheadBaseline|BM_TelemetryDisabledSpan' \
-        --benchmark_min_time=0.2 --benchmark_repetitions=3 \
-        >"$WORK/micro_stdout.txt" 2>&1
-    if [[ ! -s "$WORK/BENCH_micro.json" ]]; then
-        echo "run_telemetry: FAIL: micro_benchmarks wrote no BENCH_micro.json" >&2
-        exit 1
-    fi
-    python3 - "$WORK/BENCH_micro.json" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    runs = json.load(f)["benchmarks"]
-def best(name):
-    times = [r["ns_per_op"] for r in runs if r["name"] == name]
-    assert times, f"benchmark {name} missing from BENCH_micro.json"
-    return min(times)
-baseline = best("BM_SpanOverheadBaseline")
-disabled = best("BM_TelemetryDisabledSpan")
-limit = baseline * 1.02 + 2.0
-print(f"run_telemetry: baseline {baseline:.1f} ns/op, disabled span {disabled:.1f} ns/op, "
-      f"limit {limit:.1f}")
-assert disabled <= limit, (
-    f"disabled-path span overhead regressed: {disabled:.1f} ns/op > "
-    f"{limit:.1f} ns/op (baseline {baseline:.1f} * 1.02 + 2 ns)")
-EOF
+    echo "run_telemetry: disabled-path overhead gate..."
+    python3 tests/overhead_gate.py "$MICRO" BM_SpanOverheadBaseline BM_TelemetryDisabledSpan \
+        run_telemetry
 fi
 
 echo "run_telemetry: PASS (stdout bit-identical; trace/metrics valid; bad sink fails fast)"

@@ -100,6 +100,27 @@ TEST(TimeShift, DropsPacketsShiftedBeforeZero)
     }
 }
 
+TEST(TimeShift, KeepsLastPacketAtZeroWhenEveryPacketShiftsOut)
+{
+    // A 30-packet flow spanning 0.006-0.5 s lies wholly inside the first
+    // second: a -1 s shift used to return it empty.
+    flow::Flow f;
+    f.label = 1;
+    for (int i = 0; i < 30; ++i) {
+        f.packets.push_back({.timestamp = 0.006 + (0.5 - 0.006) * i / 29.0,
+                             .size = 100 + i,
+                             .direction = flow::Direction::upstream,
+                             .is_ack = false});
+    }
+    TimeShift augmentation(-1.0, -1.0);
+    util::Rng rng(1);
+    const auto out = augmentation.transform_flow(f, rng);
+    ASSERT_EQ(out.packets.size(), 1u);
+    EXPECT_EQ(out.packets[0].timestamp, 0.0);
+    EXPECT_EQ(out.packets[0].size, f.packets.back().size);
+    EXPECT_EQ(out.label, f.label);
+}
+
 TEST(PacketLoss, DropsSubsetKeepsAtLeastOne)
 {
     const auto f = make_flow(200);

@@ -1,7 +1,9 @@
 // Tests for the checksummed checkpoint format (fptc/nn/serialize.hpp):
-// v2 roundtrip, v1 compatibility, corruption detection (bad magic, bad
-// version, truncation, bit flips), descriptive mismatch errors, and the
-// save_network truncated-write recovery path.
+// v2 roundtrip, v1 compatibility, the error messages of corruption
+// detection (bad magic, bad version, bit flips, trailing bytes),
+// descriptive mismatch errors, and the save_network truncated-write
+// recovery path.  Structural refusal of every prefix, bit flip and
+// appended byte is the shared property suite in test_binary_records.cpp.
 #include "fptc/nn/models.hpp"
 #include "fptc/nn/serialize.hpp"
 #include "fptc/util/durable.hpp"
@@ -130,13 +132,20 @@ TEST(Serialize, RejectsUnsupportedVersion)
     expect_load_error(target, blob, "unsupported format version 9");
 }
 
-TEST(Serialize, RejectsTruncatedStream)
+TEST(Serialize, RejectsTrailingBytes)
 {
-    auto params = make_params();
-    auto blob = serialized(params, 2);
-    blob.resize(blob.size() / 2);
-    auto target = make_params();
-    expect_load_error(target, blob, "truncated");
+    // The record must end exactly at the CRC trailer (v1: at the last
+    // tensor); both readers refuse anything appended after it.
+    for (const std::uint32_t version : {1u, 2u, 3u}) {
+        auto params = make_params();
+        const auto blob = serialized(params, version) + std::string(8, '\x5a');
+        std::istringstream in(blob, std::ios::binary);
+        std::string error;
+        EXPECT_FALSE(nn::verify_checkpoint(in, &error)) << "v" << version;
+        EXPECT_NE(error.find("8 trailing bytes"), std::string::npos) << error;
+        auto target = make_params();
+        expect_load_error(target, blob, "8 trailing bytes");
+    }
 }
 
 TEST(Serialize, RejectsBitFlipViaChecksum)
@@ -208,7 +217,10 @@ TEST(Serialize, VerifyCheckpointAcceptsGoodRejectsBad)
         auto torn = good;
         torn.resize(torn.size() - 20);
         std::istringstream in(torn, std::ios::binary);
-        EXPECT_FALSE(nn::verify_checkpoint(in));
+        std::string error;
+        EXPECT_FALSE(nn::verify_checkpoint(in, &error));
+        EXPECT_NE(error.find("truncated stream while reading parameter 1 data"), std::string::npos)
+            << error;
     }
 }
 

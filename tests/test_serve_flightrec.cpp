@@ -1,6 +1,7 @@
 // Flight-recorder unit tests: ring wrap-around accounting, disabled-gate
-// inertness, exemplar bucketing, the postmortem codec's refusal ladder
-// (truncation, bit flips, trailing garbage), concurrent producers against
+// inertness, exemplar bucketing, the postmortem codec round trip (its
+// refusal of truncation, bit flips and trailing garbage is the shared
+// property suite in test_binary_records.cpp), concurrent producers against
 // snapshot readers (tsan-checked), ring-file round trips + supervisor-style
 // sealing, the stage/latency histogram reconciliation invariant, and the
 // exact fptc_serve_* Prometheus instrument set documented in README.md.
@@ -155,26 +156,6 @@ TEST(ServeFlightRec, PostmortemCodecRoundTrips)
     ASSERT_TRUE(decoded->last_watermark().has_value());
     EXPECT_EQ(*decoded->last_watermark(), 4242u);
     EXPECT_EQ(decoded->event_count(), 6u);
-}
-
-TEST(ServeFlightRec, PostmortemDecodeRefusesMalformations)
-{
-    const std::string bytes = serve::encode_postmortem(sample_postmortem());
-    // Truncation at every eighth prefix length.
-    for (std::size_t len = 0; len < bytes.size(); len += 8) {
-        EXPECT_FALSE(serve::decode_postmortem(bytes.substr(0, len)).has_value())
-            << "accepted truncation at " << len;
-    }
-    // A flipped payload byte must fail the CRC.
-    std::string flipped = bytes;
-    flipped[bytes.size() / 2] = static_cast<char>(flipped[bytes.size() / 2] ^ 0x40);
-    EXPECT_FALSE(serve::decode_postmortem(flipped).has_value());
-    // Bad magic.
-    std::string magic = bytes;
-    magic[0] = 'X';
-    EXPECT_FALSE(serve::decode_postmortem(magic).has_value());
-    // Appended garbage changes the payload size the CRC covers.
-    EXPECT_FALSE(serve::decode_postmortem(bytes + "zz").has_value());
 }
 
 TEST(ServeFlightRec, SaveLoadRoundTripsThroughDisk)

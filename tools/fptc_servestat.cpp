@@ -11,10 +11,11 @@
 //   stage name=<stage> count=<n> p50_ns=<n> p95_ns=<n> p99_ns=<n> ...
 //
 // --raw prints the file verbatim instead.
+#include "fptc/util/durable.hpp"
+
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 
 namespace {
@@ -82,14 +83,12 @@ int main(int argc, char** argv)
         return usage(argv[0]);
     }
 
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::optional<std::string> file = fptc::util::read_file(path);
+    if (!file.has_value()) {
         std::fprintf(stderr, "fptc_servestat: cannot open %s\n", path.c_str());
         return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
+    const std::string& text = *file;
     if (text.empty()) {
         std::fprintf(stderr, "fptc_servestat: %s is empty\n", path.c_str());
         return 1;
