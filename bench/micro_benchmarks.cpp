@@ -5,9 +5,8 @@
 //
 // Besides the console table, every run writes BENCH_micro.json (to
 // FPTC_ARTIFACTS_DIR when set, else the working directory) with name,
-// ns/op, and bytes/op per benchmark so campaign tooling and the telemetry
-// overhead gate (tests/run_telemetry.sh) can consume the numbers without
-// scraping stdout.
+// CPU ns/op, wall ns/op and bytes/op per benchmark so campaign tooling can
+// consume the numbers without scraping stdout.
 #include "fptc/augment/augmentation.hpp"
 #include "fptc/core/data.hpp"
 #include "fptc/serve/backend.hpp"
@@ -15,6 +14,8 @@
 #include "fptc/serve/reload.hpp"
 #include "fptc/flowpic/flowpic.hpp"
 #include "fptc/gbt/gbt.hpp"
+#include "fptc/nn/conv.hpp"
+#include "fptc/nn/layers.hpp"
 #include "fptc/nn/loss.hpp"
 #include "fptc/nn/models.hpp"
 #include "fptc/trafficgen/ucdavis19.hpp"
@@ -136,6 +137,84 @@ void BM_LeNetTrainStep(benchmark::State& state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
 }
 BENCHMARK(BM_LeNetTrainStep);
+
+/// Random [shape] values with `zero_share` of them exactly zero: post-ReLU
+/// activations are about half zeros, max-pool gradients at least 75%.
+nn::Tensor sparse_randn(const nn::Shape& shape, double zero_share, std::uint64_t seed)
+{
+    util::Rng rng(seed);
+    auto t = nn::Tensor::randn(shape, rng, 0.5f);
+    for (auto& v : t.data()) {
+        if (rng.uniform() < zero_share) {
+            v = 0.0f;
+        }
+    }
+    return t;
+}
+
+/// Conv2d (5x5 kernel) on a batch of 32: args are in_channels,
+/// out_channels and the input side — the LeNet conv1/conv2 shapes at
+/// flowpic resolutions 32 and 64.
+void BM_Conv2dForward(benchmark::State& state)
+{
+    const auto in = static_cast<std::size_t>(state.range(0));
+    const auto side = static_cast<std::size_t>(state.range(2));
+    nn::Conv2d layer(in, static_cast<std::size_t>(state.range(1)), 5, 1);
+    const auto input = sparse_randn({32, in, side, side}, 0.5, 3);
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(layer.forward(input, true));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
+}
+BENCHMARK(BM_Conv2dForward)
+    ->Args({1, 6, 32})->Args({6, 16, 14})->Args({1, 6, 64})->Args({6, 16, 30});
+
+void BM_Conv2dBackward(benchmark::State& state)
+{
+    const auto in = static_cast<std::size_t>(state.range(0));
+    const auto side = static_cast<std::size_t>(state.range(2));
+    nn::Conv2d layer(in, static_cast<std::size_t>(state.range(1)), 5, 1);
+    const auto input = sparse_randn({32, in, side, side}, 0.5, 3);
+    const auto grad = sparse_randn(layer.forward(input, true).shape(), 0.75, 4);
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(layer.backward(grad));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 32);
+}
+BENCHMARK(BM_Conv2dBackward)
+    ->Args({1, 6, 32})->Args({6, 16, 14})->Args({1, 6, 64})->Args({6, 16, 30});
+
+/// Linear 400 -> 120 (LeNet fc1) at the given batch size.
+void BM_LinearForward(benchmark::State& state)
+{
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    nn::Linear layer(400, 120, 1);
+    const auto input = sparse_randn({batch, 400}, 0.5, 3);
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(layer.forward(input, true));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_LinearForward)->Arg(32)->Arg(16);
+
+void BM_LinearBackward(benchmark::State& state)
+{
+    const auto batch = static_cast<std::size_t>(state.range(0));
+    nn::Linear layer(400, 120, 1);
+    const auto input = sparse_randn({batch, 400}, 0.5, 3);
+    const auto grad = sparse_randn(layer.forward(input, true).shape(), 0.5, 4);
+    AllocPerOp alloc(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(layer.backward(grad));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_LinearBackward)->Arg(32)->Arg(16);
 
 void BM_NtXent(benchmark::State& state)
 {
@@ -316,7 +395,11 @@ public:
                 run.iterations <= 0) {
                 continue;
             }
+            // CPU time of the benchmark thread: wall time also counts the
+            // time it spends descheduled, which moves with machine load.
             const double ns_per_op =
+                run.cpu_accumulated_time / static_cast<double>(run.iterations) * 1e9;
+            const double wall_ns_per_op =
                 run.real_accumulated_time / static_cast<double>(run.iterations) * 1e9;
             double bytes_per_op = 0.0;
             const auto counter = run.counters.find("bytes_per_op");
@@ -326,9 +409,10 @@ public:
             char row[256];
             std::snprintf(row, sizeof(row),
                           "    {\"name\": \"%s\", \"iterations\": %lld, "
-                          "\"ns_per_op\": %.3f, \"bytes_per_op\": %.1f}",
-                          run.benchmark_name().c_str(),
-                          static_cast<long long>(run.iterations), ns_per_op, bytes_per_op);
+                          "\"ns_per_op\": %.3f, \"wall_ns_per_op\": %.3f, "
+                          "\"bytes_per_op\": %.1f}",
+                          run.benchmark_name().c_str(), static_cast<long long>(run.iterations),
+                          ns_per_op, wall_ns_per_op, bytes_per_op);
             rows_.emplace_back(row);
         }
     }

@@ -456,25 +456,39 @@ void CampaignExecutor::worker_loop_sharded()
             run_unit(index);  // marks the unit cancelled without journaling
             resolved = true;
         }
+        // Adopt a result some other family member already committed —
+        // cheaper than claiming, and the only way to resolve a slot a live
+        // sibling currently owns.  Caller holds lease_mutex_.
+        const auto adopt_committed = [&] {
+            auto fields = sibling_journals_->find(lease_key);
+            if (!fields) {
+                return false;
+            }
+            UnitOutcome outcome;
+            outcome_from_record(outcome, key, *std::move(fields));
+            outcomes_[index] = std::move(outcome);
+            util::metrics().counter("fptc_shard_units_adopted_total").add(1);
+            return true;
+        };
         if (!resolved) {
-            // Adopt a result some other family member already committed —
-            // cheaper than claiming, and the only way to resolve a slot a
-            // live sibling currently owns.
             const std::lock_guard<std::mutex> lease_lock(lease_mutex_);
             sibling_journals_->maybe_reload(500);
-            if (auto fields = sibling_journals_->find(lease_key)) {
-                UnitOutcome outcome;
-                outcome_from_record(outcome, key, *std::move(fields));
-                outcomes_[index] = std::move(outcome);
-                util::metrics().counter("fptc_shard_units_adopted_total").add(1);
-                resolved = true;
-            }
+            resolved = adopt_committed();
         }
         if (!resolved) {
             bool lease_held = false;
             {
                 const std::lock_guard<std::mutex> lease_lock(lease_mutex_);
                 lease_held = lease_store_->try_claim(lease_key);
+                // A sibling commits before it releases its lease, so one that
+                // finished this unit since the rate-limited check above is
+                // visible now: re-read with the lease held, so a finished
+                // unit is adopted and never run twice.
+                if (lease_held && sibling_journals_->maybe_reload(0) && adopt_committed()) {
+                    lease_store_->release(lease_key);
+                    lease_held = false;
+                    resolved = true;
+                }
                 if (lease_held) {
                     inflight_keys_.push_back(lease_key);
                 }

@@ -1,7 +1,7 @@
 #include "fptc/flow/io.hpp"
 
 #include "fptc/util/fault.hpp"
-#include "fptc/util/journal.hpp"
+#include "fptc/util/durable.hpp"
 #include "fptc/util/log.hpp"
 
 #include <charconv>
@@ -165,7 +165,7 @@ void write_dataset_csv(const Dataset& dataset, const std::string& path)
     // a later campaign to trip over.
     std::ostringstream buffer;
     write_dataset_csv(dataset, buffer);
-    util::atomic_write_file(path, buffer.str());
+    util::DurableFile::write_file(path, buffer.str());
 }
 
 Dataset read_dataset_csv(std::istream& in, const CsvReadOptions& options, CsvReadReport* report)

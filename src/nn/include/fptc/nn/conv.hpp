@@ -1,12 +1,14 @@
 // Convolution and pooling layers.
 //
 // LeNet-5 (App. C listing 1) needs only valid (unpadded) stride-1
-// convolutions with square kernels and 2x2 max pooling; the implementations
-// are direct loops — at 32x32/64x64 flowpic resolutions that is plenty fast
-// on a CPU, and for the 1500x1500 "full" architecture the model factory
-// inserts an aggressive input pooling stage first (see models.hpp).
+// convolutions with square kernels and 2x2 max pooling.  Conv2d lowers its
+// three products (forward, dW, dX) per sample onto the shared GEMM kernel
+// (gemm.hpp) through an im2col workspace the layer owns; for the 1500x1500
+// "full" architecture the model factory inserts an aggressive input pooling
+// stage first (see models.hpp), so that workspace stays small.
 #pragma once
 
+#include "fptc/nn/gemm.hpp"
 #include "fptc/nn/layer.hpp"
 
 #include <cstdint>
@@ -38,6 +40,7 @@ private:
     Parameter weight_; ///< [C_out, C_in, k, k]
     Parameter bias_;   ///< [C_out]
     Tensor input_cache_;
+    Workspace workspace_; ///< one sample's im2col patches and gathered gradients
 };
 
 /// Max pooling with square window == stride (LeNet uses 2x2/2).

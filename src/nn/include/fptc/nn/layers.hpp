@@ -8,6 +8,7 @@
 // (listing 5) are all expressed by masking layers with Identity.
 #pragma once
 
+#include "fptc/nn/gemm.hpp"
 #include "fptc/nn/layer.hpp"
 #include "fptc/util/rng.hpp"
 
@@ -35,6 +36,7 @@ private:
     Parameter weight_; ///< [out, in]
     Parameter bias_;   ///< [out]
     Tensor input_cache_;
+    Workspace workspace_; ///< Wᵀ (forward) or dYᵀ (backward)
 };
 
 /// Element-wise rectified linear unit.

@@ -1,5 +1,6 @@
 #include "fptc/nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -32,22 +33,15 @@ Tensor Linear::forward(const Tensor& input, bool /*training*/)
     input_cache_ = input;
     const std::size_t batch = input.dim(0);
     Tensor output({batch, out_features_});
-    const auto w = weight_.value.data();
     const auto b = bias_.value.data();
-    const auto x = input.data();
     auto y = output.data();
     for (std::size_t n = 0; n < batch; ++n) {
-        const float* x_row = x.data() + n * in_features_;
-        float* y_row = y.data() + n * out_features_;
-        for (std::size_t o = 0; o < out_features_; ++o) {
-            const float* w_row = w.data() + o * in_features_;
-            float accum = b[o];
-            for (std::size_t i = 0; i < in_features_; ++i) {
-                accum += w_row[i] * x_row[i];
-            }
-            y_row[o] = accum;
-        }
+        std::copy(b.begin(), b.end(), y.begin() + static_cast<std::ptrdiff_t>(n * out_features_));
     }
+    // Y = X · Wᵀ: the input is the (ReLU-sparse) skipped operand.
+    float* w_t = workspace_.reserve(in_features_ * out_features_);
+    transpose(out_features_, in_features_, weight_.value.data().data(), w_t);
+    gemm_accumulate(batch, out_features_, in_features_, input.data().data(), w_t, y.data());
     return output;
 }
 
@@ -59,27 +53,20 @@ Tensor Linear::backward(const Tensor& grad_output)
         throw std::invalid_argument("Linear::backward: bad grad shape " + grad_output.shape_string());
     }
     Tensor grad_input({batch, in_features_});
-    const auto w = weight_.value.data();
-    auto gw = weight_.grad.data();
+    const float* gy = grad_output.data().data();
     auto gb = bias_.grad.data();
-    const auto x = input_cache_.data();
-    const auto gy = grad_output.data();
-    auto gx = grad_input.data();
     for (std::size_t n = 0; n < batch; ++n) {
-        const float* x_row = x.data() + n * in_features_;
-        const float* gy_row = gy.data() + n * out_features_;
-        float* gx_row = gx.data() + n * in_features_;
         for (std::size_t o = 0; o < out_features_; ++o) {
-            const float g = gy_row[o];
-            gb[o] += g;
-            const float* w_row = w.data() + o * in_features_;
-            float* gw_row = gw.data() + o * in_features_;
-            for (std::size_t i = 0; i < in_features_; ++i) {
-                gw_row[i] += g * x_row[i];
-                gx_row[i] += g * w_row[i];
-            }
+            gb[o] += gy[n * out_features_ + o];
         }
     }
+    // dW += dYᵀ · X (summed over the batch in order); dX = dY · W.
+    float* gy_t = workspace_.reserve(out_features_ * batch);
+    transpose(batch, out_features_, gy, gy_t);
+    gemm_accumulate(out_features_, in_features_, batch, gy_t, input_cache_.data().data(),
+                    weight_.grad.data().data());
+    gemm_accumulate(batch, in_features_, out_features_, gy, weight_.value.data().data(),
+                    grad_input.data().data());
     return grad_input;
 }
 

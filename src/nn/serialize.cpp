@@ -1,8 +1,8 @@
 #include "fptc/nn/serialize.hpp"
 
 #include "fptc/util/bytes.hpp"
+#include "fptc/util/durable.hpp"
 #include "fptc/util/fault.hpp"
-#include "fptc/util/journal.hpp"
 #include "fptc/util/log.hpp"
 
 #include <algorithm>
@@ -275,7 +275,7 @@ void save_network(Sequential& network, const std::string& path, const Calibratio
 {
     // Serialize to memory first so a truncated write never leaves a partial
     // file at `path` (durable temp + fsync + rename + dir fsync via
-    // util::atomic_write_file), then re-verify the bytes on disk; a
+    // util::DurableFile::write_file), then re-verify the bytes on disk; a
     // corrupted write (e.g. the fault injector's truncated-write fault, or
     // a full disk) is detected and rewritten once.  An ENOSPC or fsync
     // failure surfaces as util::IoError (transient), which the campaign
@@ -293,7 +293,7 @@ void save_network(Sequential& network, const std::string& path, const Calibratio
             written.resize(written.size() / 2);
             util::log_info("save_network: fault injector truncated checkpoint write to " + path);
         }
-        util::atomic_write_file(path, written);
+        util::DurableFile::write_file(path, written);
 
         std::ifstream readback(path, std::ios::binary);
         std::string error;

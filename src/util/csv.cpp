@@ -1,6 +1,6 @@
 #include "fptc/util/csv.hpp"
 
-#include "fptc/util/journal.hpp"
+#include "fptc/util/durable.hpp"
 
 #include <sstream>
 #include <stdexcept>
@@ -61,7 +61,7 @@ void CsvWriter::write_file(const std::string& path) const
 {
     // Durable temp-file + fsync + rename so a killed (or power-cut)
     // campaign never leaves a partial or empty artifact behind.
-    atomic_write_file(path, to_string());
+    DurableFile::write_file(path, to_string());
 }
 
 } // namespace fptc::util

@@ -99,13 +99,6 @@ inline constexpr const char* kErrorField = "__error__";
 inline constexpr const char* kFinalErrorField = "__final__";
 inline constexpr const char* kDegradedStatus = "degraded";
 
-/// Write `content` to `path` atomically and durably: temp file in the same
-/// directory, fsynced, renamed over the target, parent directory fsynced
-/// (a thin wrapper over util::DurableFile).  Readers never observe a
-/// partial file and the replacement survives power loss.  Throws
-/// util::IoError (a std::runtime_error) on I/O failure.
-void atomic_write_file(const std::string& path, const std::string& content);
-
 /// Append-only JSONL journal of completed campaign units.
 class RunJournal {
 public:

@@ -167,13 +167,6 @@ std::optional<JournalRecord> parse_json_line(const std::string& line)
     return record;
 }
 
-void atomic_write_file(const std::string& path, const std::string& content)
-{
-    // Full durable transaction: temp + fsync + rename + parent-dir fsync
-    // (see util/durable.hpp for the crash-window guarantees).
-    DurableFile::write_file(path, content);
-}
-
 std::vector<JournalRecord> read_journal_records(const std::string& path, std::size_t* discarded)
 {
     std::vector<JournalRecord> records;
@@ -281,7 +274,7 @@ std::size_t merge_shard_journals(const std::string& base, bool remove_shards)
         content += to_json_line(record);
         content += '\n';
     }
-    atomic_write_file(base, content);
+    DurableFile::write_file(base, content);
     if (remove_shards) {
         for (const auto& path : shard_paths) {
             ::unlink(path.c_str());
@@ -375,7 +368,7 @@ void RunJournal::compact()
         content += to_json_line(JournalRecord{key, records_.at(key)});
         content += '\n';
     }
-    atomic_write_file(path_, content);
+    DurableFile::write_file(path_, content);
 }
 
 std::size_t RunJournal::absorb(const std::vector<JournalRecord>& records)

@@ -95,7 +95,7 @@ void LeaseStore::append_locked(const std::string& key, const char* op, std::int6
             content += to_json_line(line);
             content += '\n';
         }
-        atomic_write_file(lease_path_, content);
+        DurableFile::write_file(lease_path_, content);
     }
 }
 

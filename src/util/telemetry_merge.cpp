@@ -1,6 +1,6 @@
 #include "fptc/util/telemetry_merge.hpp"
 
-#include "fptc/util/journal.hpp"  // atomic_write_file
+#include "fptc/util/durable.hpp"
 
 #include <algorithm>
 #include <cstdint>
@@ -150,7 +150,7 @@ std::size_t merge_prometheus_files(const std::vector<std::string>& input_paths,
             out += name + " " + std::to_string(family.scalar) + "\n";
         }
     }
-    atomic_write_file(output_path, out);
+    DurableFile::write_file(output_path, out);
     return contributing;
 }
 
@@ -193,7 +193,7 @@ std::size_t merge_trace_files(const std::vector<std::string>& input_paths,
         out += events[i];
     }
     out += "\n]}\n";
-    atomic_write_file(output_path, out);
+    DurableFile::write_file(output_path, out);
     return contributing;
 }
 

@@ -2,6 +2,7 @@
 // table/CSV rendering, heatmaps, campaign-scale resolution, the run
 // journal and the fault injector.
 #include "fptc/util/csv.hpp"
+#include "fptc/util/durable.hpp"
 #include "fptc/util/env.hpp"
 #include "fptc/util/fault.hpp"
 #include "fptc/util/heatmap.hpp"
@@ -377,8 +378,8 @@ TEST(Journal, LastRecordWinsOnRerecord)
 TEST(Journal, AtomicWriteFileReplacesContent)
 {
     TempFile file("fptc_test_atomic.txt");
-    fptc::util::atomic_write_file(file.path(), "first");
-    fptc::util::atomic_write_file(file.path(), "second");
+    fptc::util::DurableFile::write_file(file.path(), "first");
+    fptc::util::DurableFile::write_file(file.path(), "second");
     std::ifstream in(file.path());
     std::string content((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
     EXPECT_EQ(content, "second");
